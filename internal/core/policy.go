@@ -10,8 +10,11 @@
 //     use incremental dumps whenever a previous checkpoint exists;
 //   - Algorithm 2, adaptive resumption: restore locally or remotely
 //     depending on which estimated overhead is lower;
-//   - cost-aware victim selection: among preemptable tasks, evict those
-//     with the lowest estimated checkpoint cost first.
+//   - cost-aware victim selection: among preemptable tasks, evict the
+//     lowest priority first and, within a priority, those with the lowest
+//     estimated checkpoint cost first. RankVictims is the one ordering of
+//     victims; CandidateScores turns a ranking into the journal's
+//     candidate table.
 //
 // Both the trace-driven simulator (internal/sched) and the mini-YARN
 // framework (internal/yarn) consume these functions, so the policy under
@@ -19,11 +22,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
 	"preemptsched/internal/storage"
 )
@@ -172,46 +177,82 @@ func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.T
 	}
 }
 
-// SelectVictims implements cost-aware eviction (Section 5.2.2): it orders
-// candidates by priority (lowest first, so high-priority work is
-// preempted last) and, within a priority, by estimated checkpoint time
-// (cheapest first), then takes candidates until their combined freed
-// resources cover need. The boolean result is false when even preempting
-// every candidate would not free enough, in which case no victims are
-// returned.
-//
-// devFor maps a candidate to the storage device its dump would use, which
-// is how per-node checkpoint queue depth influences victim choice.
-func SelectVictims(cands []Candidate, need cluster.Resources, now sim.Time, devFor func(Candidate) *storage.Device) ([]Candidate, bool) {
-	type scored struct {
-		c    Candidate
-		cost time.Duration
-	}
-	scoredCands := make([]scored, len(cands))
-	for i, c := range cands {
-		scoredCands[i] = scored{c: c, cost: CheckpointOverhead(c, devFor(c), now)}
-	}
-	sort.SliceStable(scoredCands, func(i, j int) bool {
-		if scoredCands[i].c.Priority != scoredCands[j].c.Priority {
-			return scoredCands[i].c.Priority < scoredCands[j].c.Priority
+// Ranked is one entry of a victim ranking.
+type Ranked struct {
+	// Index is the candidate's position in the caller's input.
+	Index    int
+	Priority cluster.Priority
+	// Cost is the candidate's estimated checkpoint overhead
+	// (CheckpointOverhead); zero when the ranking was not cost-aware.
+	Cost time.Duration
+}
+
+// RankVictims is the single victim ordering both scheduler layers use,
+// the rule of cost-aware eviction (Section 5.2.2). It ranks the caller's
+// n candidates lowest priority first, so high-priority work is preempted
+// last. prio(i) is the priority of candidate i. When score is non-nil the
+// ranking is cost-aware: score(i) returns candidate i's Algorithm 1 input
+// and the device its dump would use, each entry carries the resulting
+// CheckpointOverhead, and within a priority the cheapest checkpoint comes
+// first. Remaining ties keep the caller's input order. The ranking
+// reuses dst's storage.
+func RankVictims(dst []Ranked, n int, prio func(i int) cluster.Priority, score func(i int) (Candidate, *storage.Device), now sim.Time) []Ranked {
+	r := dst[:0]
+	for i := 0; i < n; i++ {
+		e := Ranked{Index: i, Priority: prio(i)}
+		if score != nil {
+			c, dev := score(i)
+			e.Cost = CheckpointOverhead(c, dev, now)
 		}
-		return scoredCands[i].cost < scoredCands[j].cost
+		r = append(r, e)
+	}
+	slices.SortStableFunc(r, func(a, b Ranked) int {
+		if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Cost, b.Cost)
 	})
-	var (
-		freed   cluster.Resources
-		victims []Candidate
-	)
-	for _, s := range scoredCands {
+	return r
+}
+
+// Cover returns the length of the shortest prefix of ranking r whose
+// freed resources cover need; demand(i) is what preempting the caller's
+// candidate i frees. The boolean result is false when even preempting
+// every candidate would not free enough.
+func Cover(r []Ranked, need cluster.Resources, demand func(i int) cluster.Resources) (int, bool) {
+	var freed cluster.Resources
+	for k, e := range r {
 		if need.Fits(freed) {
-			break
+			return k, true
 		}
-		victims = append(victims, s.c)
-		freed = freed.Add(s.c.Demand)
+		freed = freed.Add(demand(e.Index))
 	}
-	if !need.Fits(freed) {
-		return nil, false
+	return len(r), need.Fits(freed)
+}
+
+// CandidateScores renders ranking r as a journal's candidate table
+// (obs.RecSelection), flagging the first chosen ranked entries as the
+// victims taken. Rows follow rank order, or the caller's input order when
+// inputOrder is set. describe(i) names candidate i and reports the
+// progress a kill would lose. Costs are the ranking's own, not
+// re-derived.
+func CandidateScores(r []Ranked, chosen int, inputOrder bool, describe func(i int) (task string, unsaved time.Duration)) []obs.CandidateScore {
+	scores := make([]obs.CandidateScore, len(r))
+	for k, e := range r {
+		row := k
+		if inputOrder {
+			row = e.Index
+		}
+		task, unsaved := describe(e.Index)
+		scores[row] = obs.CandidateScore{
+			Task:     task,
+			Priority: int(e.Priority),
+			Cost:     e.Cost,
+			Unsaved:  unsaved,
+			Chosen:   k < chosen,
+		}
 	}
-	return victims, true
+	return scores
 }
 
 // RestorePlacement is the outcome of Algorithm 2.

@@ -12,27 +12,21 @@ import (
 
 func nodeName(id cluster.NodeID) string { return "node-" + strconv.Itoa(int(id)) }
 
-// scoreCandidates rebuilds the provenance view of a victim choice on the
-// chosen node: every discipline-eligible running task with its estimated
-// checkpoint cost, the selected victims flagged. It is only invoked when
-// a Recorder is attached, so the extra scan never taxes plain runs.
-func (s *Simulator) scoreCandidates(n *node, t *taskRT, victims []*taskRT, now sim.Time) []obs.CandidateScore {
-	chosen := make(map[cluster.TaskID]bool, len(victims))
-	for _, v := range victims {
-		chosen[v.spec.ID] = true
-	}
-	cands := s.preemptableOn(n, t, now)
-	scores := make([]obs.CandidateScore, len(cands))
-	for i, v := range cands {
-		scores[i] = obs.CandidateScore{
-			Task:     v.spec.ID.String(),
-			Priority: int(v.spec.Priority),
-			Cost:     core.CheckpointOverhead(s.candidateFor(v, now), n.device, now),
-			Unsaved:  v.unsavedProgress(now),
-			Chosen:   chosen[v.spec.ID],
+// scoreCandidates renders the chosen node's ranking as the journal's
+// candidate table: every discipline-eligible running task in task-ID
+// order, with its estimated checkpoint cost, the first take ranked
+// entries flagged. Adaptive rankings carry their costs; a baseline
+// ranking has none, so they are computed here, and only when a Recorder
+// is attached.
+func (s *Simulator) scoreCandidates(n *node, cands []*taskRT, rank []core.Ranked, take int, now sim.Time) []obs.CandidateScore {
+	if !s.costAware() {
+		for k, e := range rank {
+			rank[k].Cost = core.CheckpointOverhead(s.candidateFor(cands[e.Index], now), n.device, now)
 		}
 	}
-	return scores
+	return core.CandidateScores(rank, take, true, func(i int) (string, time.Duration) {
+		return cands[i].spec.ID.String(), cands[i].unsavedProgress(now)
+	})
 }
 
 // recordSelection journals the candidate set considered when claimant t

@@ -303,9 +303,14 @@ type Simulator struct {
 	queue   pendingQueue
 	jobs    []*jobRT
 	seq     uint64
-	// candScratch and batchScratch are reused across victim scans and
-	// scheduling passes so the hot loop stays allocation-free.
+	// candScratch, rankScratch and batchScratch are reused across victim
+	// scans and scheduling passes so the hot loop stays allocation-free;
+	// candBest and rankBest hold the best node's scan while the adaptive
+	// search ranks the rest.
 	candScratch  []*taskRT
+	rankScratch  []core.Ranked
+	candBest     []*taskRT
+	rankBest     []core.Ranked
 	batchScratch []*taskRT
 	skipScratch  []*taskRT
 
@@ -331,7 +336,7 @@ type Simulator struct {
 		restoreQueue, restoreRead, restoreTotal, restoreTransfer obs.Histogram
 		predumpQueue, predumpTotal                               obs.Histogram
 		restoreLocal, restoreRemote                              obs.Counter
-		decision [int(core.ActionCheckpointIncremental) + 1]obs.Counter
+		decision                                                 [int(core.ActionCheckpointIncremental) + 1]obs.Counter
 	}
 	// userUsage and bandUsage track allocated resources per tenant and
 	// per priority band for the fair-share and capacity disciplines.
@@ -874,32 +879,36 @@ func (s *Simulator) recordRestore(remote bool, transfer time.Duration, now, star
 // preemptFor vacates lower-priority work for t. It reports whether any
 // preemption was initiated.
 func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
-	target, victims := s.chooseVictims(t, now)
+	target, cands, rank, take := s.chooseVictims(t, now)
 	if target == nil {
 		return false
 	}
 	if s.rec != nil {
-		s.recordSelection(t, target, s.scoreCandidates(target, t, victims, now), now)
+		s.recordSelection(t, target, s.scoreCandidates(target, cands, rank, take, now), now)
 	}
 	s.reserve(t, target)
-	for _, v := range victims {
-		s.preemptTask(v, now)
+	for _, e := range rank[:take] {
+		s.preemptTask(cands[e.Index], now)
 	}
-	s.res.Preemptions += len(victims)
+	s.res.Preemptions += take
 	return true
 }
 
 // chooseVictims finds a node where evicting discipline-eligible tasks
-// makes room for t, returning the victim set. Under the adaptive policy
-// the node and victims minimize checkpoint cost (cost-aware eviction);
-// otherwise the first eligible node and a naive priority-ordered victim
-// set are used, mirroring stock YARN.
-func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
-	adaptive := s.cfg.Policy == core.PolicyAdaptive && !s.cfg.NaiveVictimSelection
+// makes room for t. It returns that node's candidates, their ranking, and
+// how many ranked entries are the victims; the slices alias scratch
+// buffers valid until the next call. Under the adaptive policy the node
+// and victims minimize checkpoint cost (cost-aware eviction); otherwise
+// the first eligible node and a naive priority-ordered victim set are
+// used, mirroring stock YARN.
+func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT, []core.Ranked, int) {
+	adaptive := s.costAware()
 	var (
-		bestNode *node
-		bestSet  []*taskRT
-		bestCost time.Duration
+		bestNode  *node
+		bestCands []*taskRT
+		bestRank  []core.Ranked
+		bestTake  int
+		bestCost  time.Duration
 	)
 	// Under the priority discipline a node can only yield victims if some
 	// task with priority strictly below t's is running there; the per-node
@@ -928,18 +937,28 @@ func (s *Simulator) chooseVictims(t *taskRT, now sim.Time) (*node, []*taskRT) {
 		if need.MemBytes < 0 {
 			need.MemBytes = 0
 		}
-		set, cost, ok := s.selectOn(n, cands, need, now, adaptive)
+		rank, take, cost, ok := s.selectOn(n, cands, need, now, adaptive)
 		if !ok {
 			continue
 		}
 		if !adaptive {
-			return n, set
+			return n, cands, rank, take
 		}
 		if bestNode == nil || cost < bestCost {
-			bestNode, bestSet, bestCost = n, set, cost
+			bestNode, bestCands, bestRank, bestTake, bestCost = n, cands, rank, take, cost
+			// Keep the best node's scan out of the scratch buffers the
+			// next node's scan overwrites.
+			s.candScratch, s.candBest = s.candBest[:0], cands[:0]
+			s.rankScratch, s.rankBest = s.rankBest[:0], rank[:0]
 		}
 	}
-	return bestNode, bestSet
+	return bestNode, bestCands, bestRank, bestTake
+}
+
+// costAware reports whether victims are ranked by checkpoint cost: the
+// adaptive policy, unless the naive-selection ablation is on.
+func (s *Simulator) costAware() bool {
+	return s.cfg.Policy == core.PolicyAdaptive && !s.cfg.NaiveVictimSelection
 }
 
 // preemptableOn lists running tasks on n that t may evict under the
@@ -963,48 +982,27 @@ func (s *Simulator) preemptableOn(n *node, t *taskRT, now sim.Time) []*taskRT {
 	return out
 }
 
-// selectOn picks victims on one node covering need. Adaptive mode uses
-// cost-aware selection (core.SelectVictims); baseline mode takes the
-// lowest-priority tasks in order.
-func (s *Simulator) selectOn(n *node, cands []*taskRT, need cluster.Resources, now sim.Time, adaptive bool) ([]*taskRT, time.Duration, bool) {
+// selectOn ranks the victims on one node (core.RankVictims) and takes the
+// shortest ranked prefix covering need, reporting its length and, in
+// adaptive mode, its summed checkpoint cost. Adaptive mode ranks
+// cost-aware; baseline mode by priority alone. The ranking aliases a
+// per-simulator scratch buffer valid until the next call.
+func (s *Simulator) selectOn(n *node, cands []*taskRT, need cluster.Resources, now sim.Time, adaptive bool) ([]core.Ranked, int, time.Duration, bool) {
+	var score func(int) (core.Candidate, *storage.Device)
 	if adaptive {
-		byID := make(map[cluster.TaskID]*taskRT, len(cands))
-		coreCands := make([]core.Candidate, len(cands))
-		for i, v := range cands {
-			byID[v.spec.ID] = v
-			coreCands[i] = s.candidateFor(v, now)
-		}
-		sel, ok := core.SelectVictims(coreCands, need, now, func(core.Candidate) *storage.Device { return n.device })
-		if !ok {
-			return nil, 0, false
-		}
-		var cost time.Duration
-		set := make([]*taskRT, len(sel))
-		for i, c := range sel {
-			set[i] = byID[c.Task]
-			cost += core.CheckpointOverhead(c, n.device, now)
-		}
-		return set, cost, true
+		score = func(i int) (core.Candidate, *storage.Device) { return s.candidateFor(cands[i], now), n.device }
 	}
-	// Baseline: lowest priority first, insertion order within priority.
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].spec.Priority < cands[j].spec.Priority
-	})
-	var (
-		freed cluster.Resources
-		set   []*taskRT
-	)
-	for _, v := range cands {
-		if need.Fits(freed) {
-			break
-		}
-		set = append(set, v)
-		freed = freed.Add(v.spec.Demand)
+	rank := core.RankVictims(s.rankScratch, len(cands), func(i int) cluster.Priority { return cands[i].spec.Priority }, score, now)
+	s.rankScratch = rank[:0]
+	take, ok := core.Cover(rank, need, func(i int) cluster.Resources { return cands[i].spec.Demand })
+	if !ok {
+		return nil, 0, 0, false
 	}
-	if !need.Fits(freed) {
-		return nil, 0, false
+	var cost time.Duration
+	for _, e := range rank[:take] {
+		cost += e.Cost
 	}
-	return set, 0, true
+	return rank, take, cost, true
 }
 
 // candidateFor builds the Algorithm 1 input for a victim, honoring the

@@ -1,14 +1,15 @@
 package yarn
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
-	"preemptsched/internal/obs"
 	"preemptsched/internal/sim"
+	"preemptsched/internal/storage"
 )
 
 // request is one outstanding container request from an AM.
@@ -68,6 +69,9 @@ type ResourceManager struct {
 	passPending bool
 	// scanLimit bounds requests examined per allocation pass.
 	scanLimit int
+	// candScratch and rankScratch are reused across preemptFor calls.
+	candScratch []*taskRun
+	rankScratch []core.Ranked
 }
 
 func newResourceManager(c *Cluster) *ResourceManager {
@@ -172,75 +176,46 @@ func (rm *ResourceManager) unreserve(req *request) {
 }
 
 // preemptFor selects one victim container with strictly lower priority
-// than req and dispatches a ContainerPreemptEvent to its AM. Under the
-// adaptive policy victims are chosen cost-aware (lowest estimated
-// checkpoint time first, Section 5.2.2); otherwise lowest priority and
-// oldest first, mirroring stock YARN.
+// than req and dispatches a ContainerPreemptEvent to its AM. Candidates
+// are ranked by core.RankVictims in task-seq order, so ties go to the
+// oldest task; under the adaptive policy the ranking is cost-aware
+// (lowest estimated checkpoint time first, Section 5.2.2), otherwise it
+// is lowest priority and oldest first, mirroring stock YARN.
 func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
-	type scored struct {
-		t    *taskRun
-		n    *NodeManager
-		cost time.Duration
-	}
-	adaptive := rm.c.cfg.Policy == core.PolicyAdaptive
-	var cands []scored
 	prio := req.task.spec.Priority
+	cands := rm.candScratch[:0]
 	for _, n := range rm.c.nodes {
 		if n.crashed || n.deadDeclared {
 			// A dead node's containers are already lost; preempting them
 			// frees nothing.
 			continue
 		}
-		ids := make([]cluster.TaskID, 0, len(n.running))
-		for id := range n.running {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].Job != ids[j].Job {
-				return ids[i].Job < ids[j].Job
+		for _, v := range n.running {
+			if v.state == stateRunning && !v.preCopying && v.spec.Priority < prio {
+				cands = append(cands, v)
 			}
-			return ids[i].Index < ids[j].Index
-		})
-		for _, id := range ids {
-			v := n.running[id]
-			if v.state != stateRunning || v.preCopying || v.spec.Priority >= prio {
-				continue
-			}
-			var cost time.Duration
-			if adaptive {
-				cost = core.CheckpointOverhead(v.candidate(now), n.device, now)
-			}
-			cands = append(cands, scored{t: v, n: n, cost: cost})
 		}
 	}
 	if len(cands) == 0 {
 		return false
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].t.spec.Priority != cands[j].t.spec.Priority {
-			return cands[i].t.spec.Priority < cands[j].t.spec.Priority
-		}
-		if adaptive && cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].t.seq < cands[j].t.seq
-	})
-	victim := cands[0]
-	if rm.c.rec != nil {
-		scores := make([]obs.CandidateScore, len(cands))
-		for i, sc := range cands {
-			scores[i] = obs.CandidateScore{
-				Task:     sc.t.spec.ID.String(),
-				Priority: int(sc.t.spec.Priority),
-				Cost:     sc.cost,
-				Unsaved:  sc.t.unsavedProgress(now),
-				Chosen:   i == 0,
-			}
-		}
-		rm.c.recordSelection(req.task, victim.n, scores, now)
+	slices.SortFunc(cands, func(a, b *taskRun) int { return cmp.Compare(a.seq, b.seq) })
+	rm.candScratch = cands[:0]
+	var score func(int) (core.Candidate, *storage.Device)
+	if rm.c.cfg.Policy == core.PolicyAdaptive {
+		score = func(i int) (core.Candidate, *storage.Device) { return cands[i].candidate(now), cands[i].node.device }
 	}
-	rm.reserve(req, victim.n)
+	rank := core.RankVictims(rm.rankScratch, len(cands), func(i int) cluster.Priority { return cands[i].spec.Priority }, score, now)
+	rm.rankScratch = rank[:0]
+	victim := cands[rank[0].Index]
+	if rm.c.rec != nil {
+		scores := core.CandidateScores(rank, 1, false, func(i int) (string, time.Duration) {
+			return cands[i].spec.ID.String(), cands[i].unsavedProgress(now)
+		})
+		rm.c.recordSelection(req.task, victim.node, scores, now)
+	}
+	rm.reserve(req, victim.node)
 	rm.c.res.Preemptions++
-	victim.t.am.onPreempt(victim.t, now)
+	victim.am.onPreempt(victim, now)
 	return true
 }
