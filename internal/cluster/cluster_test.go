@@ -149,19 +149,6 @@ func TestJobValidate(t *testing.T) {
 
 func TestJobAggregates(t *testing.T) {
 	j := validJob()
-	j.Tasks = append(j.Tasks, TaskSpec{
-		ID:           TaskID{Job: 7, Index: 1},
-		Demand:       Resources{Cores(2), GiB(1)},
-		MemFootprint: GiB(1),
-		Duration:     2 * time.Minute,
-		Submit:       time.Second,
-	})
-	if got := j.TotalDemand(); got.CPUMillis != Cores(3) || got.MemBytes != GiB(3) {
-		t.Errorf("TotalDemand = %v", got)
-	}
-	if got := j.TotalWork(); got != 3*time.Minute {
-		t.Errorf("TotalWork = %v", got)
-	}
 	if j.Band() != BandMiddle {
 		t.Errorf("Band = %v, want medium", j.Band())
 	}

@@ -111,25 +111,6 @@ type JobSpec struct {
 // Band returns the job's priority band.
 func (j *JobSpec) Band() Band { return BandOf(j.Priority) }
 
-// TotalDemand sums the resource demand of the job's tasks.
-func (j *JobSpec) TotalDemand() Resources {
-	var r Resources
-	for i := range j.Tasks {
-		r = r.Add(j.Tasks[i].Demand)
-	}
-	return r
-}
-
-// TotalWork sums task durations; this is the job's core-seconds of useful
-// compute at one core per task.
-func (j *JobSpec) TotalWork() time.Duration {
-	var d time.Duration
-	for i := range j.Tasks {
-		d += j.Tasks[i].Duration
-	}
-	return d
-}
-
 // NodeID identifies a machine.
 type NodeID int32
 

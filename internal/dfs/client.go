@@ -100,19 +100,6 @@ func WithLocalNode(id string) ClientOption {
 	return func(c *Client) { c.localID = id }
 }
 
-// WithRetry overrides the retry budget: attempts per operation (minimum 1
-// = no retries) and the base backoff between them.
-func WithRetry(attempts int, backoff time.Duration) ClientOption {
-	return func(c *Client) {
-		if attempts >= 1 {
-			c.retries = attempts
-		}
-		if backoff >= 0 {
-			c.backoff.Base = backoff
-		}
-	}
-}
-
 // WithContext bounds the client's retry loops by ctx: once it is
 // cancelled, in-flight operations stop retrying and backoff sleeps return
 // early. The default is context.Background (retry to budget exhaustion).

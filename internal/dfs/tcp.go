@@ -285,26 +285,14 @@ type TCPTransport struct {
 	peers        map[string]*tcpPeer
 }
 
-// TCPOption configures a TCPTransport.
-type TCPOption func(*TCPTransport)
-
-// WithRPCTimeout overrides the per-RPC deadline; zero disables deadlines.
-func WithRPCTimeout(d time.Duration) TCPOption {
-	return func(t *TCPTransport) { t.timeout = d }
-}
-
 // NewTCPTransport returns a transport whose NameNode lives at
 // namenodeAddr.
-func NewTCPTransport(namenodeAddr string, opts ...TCPOption) *TCPTransport {
-	t := &TCPTransport{
+func NewTCPTransport(namenodeAddr string) *TCPTransport {
+	return &TCPTransport{
 		namenodeAddr: namenodeAddr,
 		timeout:      DefaultRPCTimeout,
 		peers:        make(map[string]*tcpPeer),
 	}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
 }
 
 var _ Transport = (*TCPTransport)(nil)

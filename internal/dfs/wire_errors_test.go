@@ -61,7 +61,9 @@ func TestRetryPathPreservesSentinels(t *testing.T) {
 	for _, entry := range errCodes {
 		sentinel := entry.err
 		t.Run(sentinel.Error(), func(t *testing.T) {
-			c := NewClient(nil, WithRetry(3, time.Nanosecond))
+			c := NewClient(nil)
+			c.retries = 3
+			c.backoff.Base = time.Nanosecond
 			c.sleep = func(time.Duration) {}
 
 			var resp rpcResponse

@@ -183,11 +183,6 @@ func Iterations(p *proc.Process) (uint64, error) {
 	return p.Memory().ReadU64(hdrOffIter)
 }
 
-// LastMovement reads the centroid movement of the last iteration.
-func LastMovement(p *proc.Process) (float64, error) {
-	return p.Memory().ReadF64(hdrOffMove)
-}
-
 // RegisterWith registers the program with a process registry.
 func RegisterWith(reg *proc.Registry) {
 	reg.Register(ProgramName, func() proc.Program { return Program{} })

@@ -9,12 +9,12 @@ import (
 	"sort"
 )
 
-// Summary accumulates count/mean/variance/min/max in one pass using
-// Welford's algorithm, so long simulations do not need to retain samples
-// when only moments are reported.
+// Summary accumulates count/mean/min/max in one pass, so long
+// simulations do not need to retain samples when only moments are
+// reported.
 type Summary struct {
 	n        int64
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -31,13 +31,10 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
-// Merge folds other into s, preserving exact count and mean and the
-// parallel-variance combination of m2.
+// Merge folds other into s, preserving exact count and mean.
 func (s *Summary) Merge(other Summary) {
 	if other.n == 0 {
 		return
@@ -47,9 +44,7 @@ func (s *Summary) Merge(other Summary) {
 		return
 	}
 	n := s.n + other.n
-	d := other.mean - s.mean
-	s.m2 += other.m2 + d*d*float64(s.n)*float64(other.n)/float64(n)
-	s.mean += d * float64(other.n) / float64(n)
+	s.mean += (other.mean - s.mean) * float64(other.n) / float64(n)
 	if other.min < s.min {
 		s.min = other.min
 	}
@@ -73,17 +68,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation, or 0 with no observations.
 func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // Dist retains every sample to answer quantile and CDF queries. Experiment
 // populations here are at most a few hundred thousand points, so exact
@@ -144,9 +128,6 @@ func (d *Dist) Quantile(q float64) float64 {
 	return d.xs[lo]*(1-frac) + d.xs[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func (d *Dist) Median() float64 { return d.Quantile(0.5) }
-
 // CDFPoint is one (value, cumulative fraction) pair.
 type CDFPoint struct {
 	X float64
@@ -167,56 +148,3 @@ func (d *Dist) CDF(k int) []CDFPoint {
 	}
 	return pts
 }
-
-// FractionBelow returns the fraction of samples <= x.
-func (d *Dist) FractionBelow(x float64) float64 {
-	if len(d.xs) == 0 {
-		return 0
-	}
-	d.sort()
-	i := sort.SearchFloat64s(d.xs, x)
-	// Include equal values.
-	for i < len(d.xs) && d.xs[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(d.xs))
-}
-
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-// Values outside the range land in the first or last bucket.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram builds a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Counts returns the per-bucket counts (not a copy; callers must not
-// mutate).
-func (h *Histogram) Counts() []int64 { return h.counts }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }

@@ -118,12 +118,6 @@ func NewCustomDevice(bandwidth float64, opLatency time.Duration) *Device {
 // Kind returns the device's media class.
 func (d *Device) Kind() Kind { return d.kind }
 
-// WriteBW returns the write bandwidth in bytes/second.
-func (d *Device) WriteBW() float64 { return d.writeBW }
-
-// ReadBW returns the read bandwidth in bytes/second.
-func (d *Device) ReadBW() float64 { return d.readBW }
-
 // WriteTime returns the service time to persist n bytes, excluding
 // queueing.
 func (d *Device) WriteTime(n int64) time.Duration {

@@ -210,8 +210,8 @@ func TestMemStoreRemoveAndList(t *testing.T) {
 	if _, err := s.Open("a/1"); err == nil {
 		t.Error("removed object still readable")
 	}
-	if got := s.TotalBytes(); got != int64(len("a/2")+len("b/1")) {
-		t.Errorf("TotalBytes = %d", got)
+	if names, _ := s.List(""); len(names) != 2 || names[0] != "a/2" || names[1] != "b/1" {
+		t.Errorf("List after remove = %v", names)
 	}
 }
 
@@ -226,12 +226,5 @@ func TestMemStoreOverwrite(t *testing.T) {
 	data, _ := io.ReadAll(r)
 	if string(data) != "second!" {
 		t.Errorf("overwrite failed: %q", data)
-	}
-}
-
-func TestNewVolume(t *testing.T) {
-	v := NewVolume(SSD)
-	if v.Store == nil || v.Device == nil || v.Device.Kind() != SSD {
-		t.Error("NewVolume incomplete")
 	}
 }
