@@ -13,10 +13,14 @@
 //	        [-check] [-p99-budget 250ms] [-max-goroutine-growth 50]
 //	        [-max-heap-growth-mb 64]
 //
+// Arrivals are paced on absolute deadlines, and the report prints the
+// schedule's target rate next to the rate actually achieved.
+//
 // With -check the exit status is the soak verdict: nonzero when any job
 // was lost or double-completed, when accepted != completed, when the
-// admission p99 exceeds the budget, or when the daemon's goroutine/heap
-// gauges grew past the allowance. CI's soak smoke job runs exactly this.
+// admission p99 exceeds the budget, when the daemon's goroutine/heap
+// gauges grew past the allowance, or when the achieved offered rate fell
+// below 95% of the target. CI's soak smoke job runs exactly this.
 package main
 
 import (
@@ -76,6 +80,7 @@ func run() error {
 
 	fmt.Printf("offered %d jobs in %v (%d shed at the client): %d accepted, %d rejected, %d transport errors\n",
 		rep.Offered, rep.Elapsed.Round(time.Millisecond), rep.Shed, rep.Accepted, rep.Rejected, rep.TransportErrors)
+	fmt.Printf("offered rate: target %.1f jobs/s, achieved %.1f jobs/s\n", rep.TargetRate, rep.AchievedRate)
 	fmt.Printf("daemon: %d admitted, %d completed, %d lost, %d double-completed (settled=%v)\n",
 		rep.Final.Admitted, rep.Final.Completed, rep.Final.Lost, rep.Final.DoubleCompleted, rep.Settled)
 	fmt.Printf("admission p99: %.3fms; goroutines %d -> %d; heap %.1f -> %.1f MiB; virtual clock %v\n",
@@ -98,7 +103,10 @@ func run() error {
 		if err := rep.Check(*p99Budget, *maxGoroutineGrowth, uint64(*maxHeapGrowthMB)<<20); err != nil {
 			return fmt.Errorf("soak check failed: %w", err)
 		}
-		fmt.Println("soak check passed: nothing lost, nothing doubled, latency and growth in budget")
+		if rep.AchievedRate < 0.95*rep.TargetRate {
+			return fmt.Errorf("soak check failed: achieved %.1f jobs/s, below 95%% of the %.1f jobs/s target", rep.AchievedRate, rep.TargetRate)
+		}
+		fmt.Println("soak check passed: nothing lost, nothing doubled, latency, growth and offered rate in budget")
 	}
 	return nil
 }

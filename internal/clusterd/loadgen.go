@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"preemptsched/internal/core"
 	"preemptsched/internal/cluster"
+	"preemptsched/internal/core"
 )
 
 // LoadConfig parameterizes one open-loop run against a daemon.
@@ -72,6 +72,15 @@ type LoadReport struct {
 	Accepted        int64 `json:"accepted"`
 	Rejected        int64 `json:"rejected"`
 	TransportErrors int64 `json:"transport_errors"`
+
+	// TargetRate is the arrival rate the seeded schedule asks for: its
+	// arrivals due inside the offered-load window per second of the
+	// window (the configured Rate up to Poisson sampling noise).
+	// AchievedRate is the same arrivals per second of the time the
+	// generator actually took to offer them, never less than the window;
+	// it falls below TargetRate only when the generator ran late.
+	TargetRate   float64 `json:"target_rate"`
+	AchievedRate float64 `json:"achieved_rate"`
 
 	Settled bool          `json:"settled"`
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -143,12 +152,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	slots := make(chan struct{}, cfg.MaxOutstanding)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for time.Since(start) < cfg.Duration && ctx.Err() == nil {
-		// Exponential interarrival for the Poisson stream.
-		gap := time.Duration(-math.Log(1-rng.Float64()) / cfg.Rate * float64(time.Second))
-		if err := core.Sleep(ctx, gap); err != nil {
-			break
-		}
+	offering := offerSchedule(ctx, rng, cfg.Rate, cfg.Duration, time.Now, core.Sleep, func() {
 		jr := JobRequest{
 			Priority:   rng.Intn(int(cluster.MaxPriority) + 1),
 			Tasks:      cfg.TasksPerJob,
@@ -160,7 +164,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		case slots <- struct{}{}:
 		default:
 			rep.Shed++ // open loop: never queue behind slow submissions
-			continue
+			return
 		}
 		wg.Add(1)
 		go func(jr JobRequest) {
@@ -176,7 +180,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 				transportErrs.Add(1)
 			}
 		}(jr)
-	}
+	})
+	window := cfg.Duration.Seconds()
+	rep.TargetRate = float64(rep.Offered) / window
+	rep.AchievedRate = float64(rep.Offered) / math.Max(window, offering.Seconds())
 	wg.Wait()
 	rep.Accepted = accepted.Load()
 	rep.Rejected = rejected.Load()
@@ -206,4 +213,28 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// offerSchedule runs the seeded open-loop Poisson arrival stream for one
+// window, calling offer once per arrival due inside it. Each arrival is
+// due at an absolute deadline, start plus the sum of the gaps so far, so
+// a late timer wakeup shortens the next wait instead of pushing back
+// every later arrival as chained relative sleeps would. now and sleep are
+// the clock. It returns how long the generator took to offer the window's
+// arrivals.
+func offerSchedule(ctx context.Context, rng *rand.Rand, rate float64, window time.Duration, now func() time.Time, sleep func(context.Context, time.Duration) error, offer func()) time.Duration {
+	start := now()
+	var due time.Duration
+	for ctx.Err() == nil {
+		// Exponential interarrival for the Poisson stream.
+		due += time.Duration(-math.Log(1-rng.Float64()) / rate * float64(time.Second))
+		if due >= window {
+			break
+		}
+		if err := sleep(ctx, due-now().Sub(start)); err != nil {
+			break
+		}
+		offer()
+	}
+	return now().Sub(start)
 }
