@@ -69,17 +69,17 @@ func FuzzReadImage(f *testing.F) {
 	var absurd bytes.Buffer
 	absurd.Write(Magic[:])
 	binary.Write(&absurd, binary.BigEndian, Version)
-	binary.Write(&absurd, binary.BigEndian, uint16(0))  // flags
-	for i := 0; i < 3; i++ {                            // three empty strings
+	binary.Write(&absurd, binary.BigEndian, uint16(0)) // flags
+	for i := 0; i < 3; i++ {                           // three empty strings
 		binary.Write(&absurd, binary.BigEndian, uint16(0))
 	}
-	binary.Write(&absurd, binary.BigEndian, uint64(0))      // PC
-	absurd.Write(make([]byte, 16*8))                        // Regs
-	binary.Write(&absurd, binary.BigEndian, uint64(0))      // Steps
-	binary.Write(&absurd, binary.BigEndian, int64(-5))      // LogicalBytes < 0
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // RealPages huge
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // PageSize huge
-	binary.Write(&absurd, binary.BigEndian, ^uint32(0))     // DumpedPages huge
+	binary.Write(&absurd, binary.BigEndian, uint64(0))  // PC
+	absurd.Write(make([]byte, 16*8))                    // Regs
+	binary.Write(&absurd, binary.BigEndian, uint64(0))  // Steps
+	binary.Write(&absurd, binary.BigEndian, int64(-5))  // LogicalBytes < 0
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // RealPages huge
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // PageSize huge
+	binary.Write(&absurd, binary.BigEndian, ^uint32(0)) // DumpedPages huge
 	f.Add(absurd.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
