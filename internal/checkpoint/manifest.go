@@ -37,10 +37,6 @@ var ErrNoManifest = errors.New("checkpoint: image has no manifest")
 // ManifestName returns the manifest object name for an image name.
 func ManifestName(image string) string { return image + ManifestSuffix }
 
-// IsManifestName reports whether an object name is an image manifest —
-// lets image listings skip the sidecars.
-func IsManifestName(name string) bool { return strings.HasSuffix(name, ManifestSuffix) }
-
 // hashWriter tees writes into a running SHA-256.
 type hashWriter struct {
 	w io.Writer

@@ -53,9 +53,6 @@ func TestDumpWritesManifest(t *testing.T) {
 	if err := VerifyChain(store, "img"); err != nil {
 		t.Fatalf("fresh chain fails verification: %v", err)
 	}
-	if !IsManifestName(ManifestName("img")) || IsManifestName("img") {
-		t.Error("IsManifestName misclassifies")
-	}
 }
 
 // TestVerifyImageCatchesSameLengthSwap: the case the internal CRC cannot

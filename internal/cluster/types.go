@@ -114,12 +114,6 @@ func (j *JobSpec) Band() Band { return BandOf(j.Priority) }
 // NodeID identifies a machine.
 type NodeID int32
 
-// NodeSpec describes a machine's capacity.
-type NodeSpec struct {
-	ID       NodeID
-	Capacity Resources
-}
-
 // Validate checks internal consistency of a job spec.
 func (j *JobSpec) Validate() error {
 	if j.Priority < MinPriority || j.Priority > MaxPriority {

@@ -73,15 +73,6 @@ func (c *Counters) Get(name string) int64 {
 	return 0
 }
 
-// Total returns the sum across all counters.
-func (c *Counters) Total() int64 {
-	var total int64
-	for _, v := range c.Snapshot() {
-		total += v
-	}
-	return total
-}
-
 // Snapshot returns a copy of every counter.
 func (c *Counters) Snapshot() map[string]int64 {
 	c.mu.Lock()

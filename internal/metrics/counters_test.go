@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"maps"
 	"sync"
 	"testing"
 )
@@ -16,8 +17,8 @@ func TestCountersAddN(t *testing.T) {
 	if got := c.Get("b"); got != 5 {
 		t.Fatalf("b = %d, want 5", got)
 	}
-	if got := c.Total(); got != 8 {
-		t.Fatalf("Total = %d, want 8", got)
+	if got, want := c.Snapshot(), map[string]int64{"a": 3, "b": 5}; !maps.Equal(got, want) {
+		t.Fatalf("Snapshot = %v, want %v", got, want)
 	}
 }
 
@@ -30,7 +31,7 @@ func TestCountersConcurrentAddN(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.AddN(map[string]int64{"x": 1, "y": 2})
-				_ = c.Total()
+				_ = c.Snapshot()
 			}
 		}()
 	}
@@ -38,8 +39,8 @@ func TestCountersConcurrentAddN(t *testing.T) {
 	if got := c.Get("x"); got != 8000 {
 		t.Fatalf("x = %d, want 8000", got)
 	}
-	if got := c.Total(); got != 24000 {
-		t.Fatalf("Total = %d, want 24000", got)
+	if got, want := c.Snapshot(), map[string]int64{"x": 8000, "y": 16000}; !maps.Equal(got, want) {
+		t.Fatalf("Snapshot = %v, want %v", got, want)
 	}
 }
 

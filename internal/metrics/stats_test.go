@@ -157,11 +157,4 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(s, "12346") {
 		t.Errorf("large float not rounded to integer form:\n%s", s)
 	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "name,value\n") {
-		t.Errorf("bad CSV header: %q", csv)
-	}
-	if lines := strings.Count(csv, "\n"); lines != 3 {
-		t.Errorf("CSV line count = %d, want 3", lines)
-	}
 }

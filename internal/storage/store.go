@@ -133,9 +133,3 @@ func (s *MemStore) List(prefix string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// Volume couples a byte Store with the Device that times access to it.
-type Volume struct {
-	Store  Store
-	Device *Device
-}
