@@ -156,22 +156,26 @@ func (a PreemptAction) IsCheckpoint() bool {
 
 // DecidePreemption implements Algorithm 1 for a single victim under the
 // given policy. dev is the storage device the checkpoint would be written
-// to on the victim's node, at virtual time now.
-func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.Time) PreemptAction {
+// to on the victim's node, at virtual time now. It also returns the
+// CheckpointOverhead estimate for the victim, computed under every policy,
+// so callers journal the value the verdict weighed (or, under a fixed
+// policy, would have weighed) instead of re-deriving it.
+func DecidePreemption(policy Policy, c Candidate, dev *storage.Device, now sim.Time) (PreemptAction, time.Duration) {
+	est := CheckpointOverhead(c, dev, now)
 	checkpointAction := ActionCheckpointFull
 	if c.HasCheckpoint {
 		checkpointAction = ActionCheckpointIncremental
 	}
 	switch policy {
 	case PolicyKill, PolicyWait:
-		return ActionKill
+		return ActionKill, est
 	case PolicyCheckpoint:
-		return checkpointAction
+		return checkpointAction, est
 	case PolicyAdaptive:
-		if c.UnsavedProgress > CheckpointOverhead(c, dev, now) {
-			return checkpointAction
+		if c.UnsavedProgress > est {
+			return checkpointAction, est
 		}
-		return ActionKill
+		return ActionKill, est
 	default:
 		panic(fmt.Sprintf("core: DecidePreemption with invalid policy %v", policy))
 	}

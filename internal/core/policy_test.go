@@ -71,33 +71,53 @@ func TestDecidePreemptionAdaptiveThreshold(t *testing.T) {
 	dev := storage.NewCustomDevice(1e9, 0) // overhead for 1 GiB full: ~2.15 s
 	young := candGiB(1, time.Second)       // progress below overhead
 	old := candGiB(1, time.Minute)         // progress above overhead
-	if got := DecidePreemption(PolicyAdaptive, young, dev, 0); got != ActionKill {
-		t.Errorf("young task: %v, want kill", got)
-	}
-	if got := DecidePreemption(PolicyAdaptive, old, dev, 0); got != ActionCheckpointFull {
-		t.Errorf("old task: %v, want checkpoint-full", got)
-	}
-	old.HasCheckpoint = true
-	if got := DecidePreemption(PolicyAdaptive, old, dev, 0); got != ActionCheckpointIncremental {
-		t.Errorf("old task with image: %v, want incremental", got)
+	oldIncr := old
+	oldIncr.HasCheckpoint = true
+	for _, tc := range []struct {
+		name string
+		c    Candidate
+		want PreemptAction
+	}{
+		{"young task", young, ActionKill},
+		{"old task", old, ActionCheckpointFull},
+		{"old task with image", oldIncr, ActionCheckpointIncremental},
+	} {
+		got, est := DecidePreemption(PolicyAdaptive, tc.c, dev, 0)
+		if got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+		// The returned estimate is the overhead the verdict weighed.
+		if want := CheckpointOverhead(tc.c, dev, 0); est != want {
+			t.Errorf("%s: estimate %v, want %v", tc.name, est, want)
+		}
 	}
 }
 
 func TestDecidePreemptionFixedPolicies(t *testing.T) {
 	dev := storage.NewDevice(storage.HDD)
+	dev.Reserve(0, 3*time.Second) // the queue term shows in the estimate
 	c := candGiB(5, time.Hour)
-	if got := DecidePreemption(PolicyKill, c, dev, 0); got != ActionKill {
-		t.Errorf("kill policy: %v", got)
-	}
-	if got := DecidePreemption(PolicyWait, c, dev, 0); got != ActionKill {
-		t.Errorf("wait policy (forced preemption): %v", got)
-	}
-	if got := DecidePreemption(PolicyCheckpoint, c, dev, 0); got != ActionCheckpointFull {
-		t.Errorf("checkpoint policy: %v", got)
-	}
-	c.HasCheckpoint = true
-	if got := DecidePreemption(PolicyCheckpoint, c, dev, 0); got != ActionCheckpointIncremental {
-		t.Errorf("checkpoint policy with image: %v", got)
+	incr := c
+	incr.HasCheckpoint = true
+	for _, tc := range []struct {
+		policy Policy
+		c      Candidate
+		want   PreemptAction
+	}{
+		{PolicyKill, c, ActionKill},
+		{PolicyWait, c, ActionKill}, // forced preemption
+		{PolicyCheckpoint, c, ActionCheckpointFull},
+		{PolicyCheckpoint, incr, ActionCheckpointIncremental},
+	} {
+		got, est := DecidePreemption(tc.policy, tc.c, dev, 0)
+		if got != tc.want {
+			t.Errorf("%v policy (image %v): %v, want %v", tc.policy, tc.c.HasCheckpoint, got, tc.want)
+		}
+		// Fixed policies ignore the estimate but still return it, so
+		// every verdict can be journaled against the cost model.
+		if want := CheckpointOverhead(tc.c, dev, 0); est != want || est <= 3*time.Second {
+			t.Errorf("%v policy (image %v): estimate %v, want %v", tc.policy, tc.c.HasCheckpoint, est, want)
+		}
 	}
 }
 
@@ -109,7 +129,7 @@ func TestAdaptiveCrossoverMonotoneInBandwidth(t *testing.T) {
 	prevCheckpointed := false
 	for _, gbps := range []float64{0.1, 0.3, 0.5, 1, 2, 3, 4, 5} {
 		dev := storage.NewCustomDevice(gbps*1e9, 0)
-		action := DecidePreemption(PolicyAdaptive, c, dev, 0)
+		action, _ := DecidePreemption(PolicyAdaptive, c, dev, 0)
 		if prevCheckpointed && !action.IsCheckpoint() {
 			t.Fatalf("decision flipped back to kill at %.1f GB/s", gbps)
 		}
@@ -122,7 +142,7 @@ func TestAdaptiveCrossoverMonotoneInBandwidth(t *testing.T) {
 	}
 	// And the slowest setting must kill (30 s progress vs ~100 s overhead).
 	slow := storage.NewCustomDevice(0.1e9, 0)
-	if DecidePreemption(PolicyAdaptive, c, slow, 0).IsCheckpoint() {
+	if action, _ := DecidePreemption(PolicyAdaptive, c, slow, 0); action.IsCheckpoint() {
 		t.Error("checkpointed on 0.1 GB/s storage with 30s progress")
 	}
 }

@@ -6,5 +6,6 @@ package outside
 import "preemptsched/internal/core"
 
 func probe() core.PreemptAction {
-	return core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
+	action, _ := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
+	return action
 }

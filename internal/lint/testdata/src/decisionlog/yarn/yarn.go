@@ -19,19 +19,19 @@ func (c *cluster) recordDecision(action core.PreemptAction) {
 // silentKill decides and acts without journaling — the hole explain
 // cannot see past.
 func (c *cluster) silentKill() {
-	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
+	action, _ := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
 	_ = action
 }
 
 // viaHelper journals through the layer's recordDecision method.
 func (c *cluster) viaHelper() {
-	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
+	action, _ := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
 	c.recordDecision(action)
 }
 
 // viaRecorder appends to the flight recorder directly.
 func (c *cluster) viaRecorder() {
-	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
+	action, _ := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0)
 	c.rec.Append(obs.Record{Kind: obs.RecDecision, Name: action.String()})
 }
 
@@ -40,7 +40,7 @@ func (c *cluster) viaRecorder() {
 func recordDecision(action core.PreemptAction) { _ = action }
 
 func (c *cluster) viaImpostor() {
-	action := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
+	action, _ := core.DecidePreemption(core.PolicyKill, core.Candidate{}, nil, 0) // want "verdict is never journaled"
 	recordDecision(action)
 }
 

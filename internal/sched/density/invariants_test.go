@@ -13,7 +13,8 @@ import (
 // invariantChecker replays the simulator's probe stream against shadow
 // bookkeeping and fails the moment any scheduling invariant breaks:
 // capacity exceeded, placement on a down node, a preempted task resolved
-// twice, or unbalanced lifecycle counters.
+// twice, unbalanced lifecycle counters, or a periodic Sample that
+// disagrees with the probe stream.
 type invariantChecker struct {
 	t   *testing.T
 	cap cluster.Resources
@@ -28,7 +29,7 @@ type invariantChecker struct {
 	// pre-copy window).
 	checkpointing map[cluster.TaskID]bool
 
-	places, finishes, kills, checkpoints, vacates, fences int
+	places, finishes, kills, checkpoints, vacates, fences, samples int
 }
 
 func newInvariantChecker(t *testing.T, nodeCap cluster.Resources) *invariantChecker {
@@ -122,6 +123,23 @@ func (c *invariantChecker) probe(ev sched.ProbeEvent) {
 	}
 }
 
+// sample checks one periodic Sample against the probe stream seen so far:
+// tasks in flight are exactly the residents, and decisions are exactly
+// the placements plus preemption verdicts.
+func (c *invariantChecker) sample(s sched.Sample) {
+	if c.t.Failed() {
+		return
+	}
+	c.samples++
+	if s.InFlight != len(c.residents) {
+		c.t.Fatalf("sample at %v: in flight %d, but %d tasks resident", s.At, s.InFlight, len(c.residents))
+	}
+	if want := uint64(c.places + c.kills + c.checkpoints); s.Decisions != want {
+		c.t.Fatalf("sample at %v: decisions %d != placements %d + kills %d + checkpoints %d",
+			s.At, s.Decisions, c.places, c.kills, c.checkpoints)
+	}
+}
+
 // verify cross-checks the shadow state against the simulator's own result
 // once the run has drained.
 func (c *invariantChecker) verify(res *sched.Result, totalTasks int) {
@@ -205,10 +223,15 @@ func TestDensityInvariants(t *testing.T) {
 			chk := newInvariantChecker(t, sp.NodeCapacity)
 			chk.setDemands(jobs)
 			cfg.Probe = chk.probe
+			cfg.SampleEvery = sp.SampleEvery
+			cfg.OnSample = chk.sample
 
 			res, err := sched.Run(cfg, jobs)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if chk.samples == 0 {
+				t.Error("no samples delivered")
 			}
 			if len(leg.failures) == 0 {
 				chk.verify(res, sp.Tasks)

@@ -28,8 +28,7 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	n.touch()
 	n.settleEnergy(now)
 	s.res.NodeFailures++
-	s.journalNodeDown(n, now)
-	s.probe(ProbeNodeDown, cluster.TaskID{}, n.id, now)
+	s.recordNodeDown(n, now)
 	for _, id := range downSortedRunning(n) {
 		t, ok := n.running[id]
 		if !ok {
@@ -55,24 +54,18 @@ func (s *Simulator) failNode(f NodeFailure, now sim.Time) {
 	s.requestSchedule(now)
 }
 
-// fenceTask evicts one task from a dead node. A running task loses its
-// attempt-local progress; a restoring task loses only the read in flight
-// (its image is intact); a checkpointing task is left alone — its dump is
-// already draining to replicated storage and vacate will requeue it.
+// fenceTask evicts one task from a dead node and requeues it. A running
+// task loses its attempt-local progress; a restoring task loses only the
+// read in flight (its image is intact); a checkpointing task is left
+// alone — its dump is already draining to replicated storage and vacate
+// will requeue it.
 func (s *Simulator) fenceTask(t *taskRT, n *node, now sim.Time) {
+	var lost time.Duration
 	switch t.phase {
-	case phaseCheckpointing:
-		return
 	case phaseRestoring:
-		s.inFlight--
-		s.probe(ProbeFence, t.spec.ID, n.id, now)
-		n.release(now, t.spec.Demand)
-		s.account(t, -1)
-		delete(n.running, t.spec.ID)
-		t.node = nil
-		s.rescheduleFailed(t, n, 0, now)
+		// Only the image read in flight is lost.
 	case phaseRunning:
-		lost := t.unsavedProgress(now)
+		lost = t.unsavedProgress(now)
 		s.engine.Cancel(t.completion)
 		t.completion = nil
 		t.preCopying = false
@@ -80,21 +73,16 @@ func (s *Simulator) fenceTask(t *taskRT, n *node, now sim.Time) {
 		cores := float64(t.spec.Demand.CPUMillis) / 1000
 		s.res.WastedCPUHours += cores * lost.Hours()
 		s.res.FailureWasteHours += cores * lost.Hours()
-		s.inFlight--
-		s.probe(ProbeFence, t.spec.ID, n.id, now)
-		n.release(now, t.spec.Demand)
-		s.account(t, -1)
-		delete(n.running, t.spec.ID)
-		t.node = nil
-		s.rescheduleFailed(t, n, lost, now)
+	default:
+		return
 	}
-}
-
-// rescheduleFailed books the displacement and requeues t.
-func (s *Simulator) rescheduleFailed(t *taskRT, n *node, lost time.Duration, now sim.Time) {
+	s.recordFence(t, n, lost, now)
+	n.release(now, t.spec.Demand)
+	s.account(t, -1)
+	delete(n.running, t.spec.ID)
+	t.node = nil
 	t.failedOver = true
 	s.res.TasksRescheduled++
-	s.journalTaskRescheduled(t, n, lost, now)
 	s.enqueue(t, now)
 }
 
@@ -107,8 +95,7 @@ func (s *Simulator) recoverNode(n *node, at sim.Time) {
 	n.touch()
 	s.res.NodeRecoveries++
 	s.totalCap = s.totalCap.Add(n.cap)
-	s.journalNodeRecovered(n, at)
-	s.probe(ProbeNodeUp, cluster.TaskID{}, n.id, at)
+	s.recordNodeRecovered(n, at)
 	s.requestSchedule(at)
 }
 

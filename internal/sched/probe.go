@@ -5,13 +5,14 @@ import (
 	"preemptsched/internal/sim"
 )
 
-// This file is the simulator's benchmarking and invariant-checking surface:
-// a Probe callback fired on every scheduling decision and lifecycle edge,
-// and a periodic sampler that reports queue depth, tasks in flight, and
-// cumulative decision counts on the virtual clock. Both are nil by default
-// and cost one pointer test per event when unused; the density suite
-// (internal/sched/density) installs them to measure sustained scheduling
-// decisions/sec and to shadow-check resource-safety invariants at scale.
+// This file declares the simulator's benchmarking and invariant-checking
+// surface: a Probe callback fired on every scheduling decision and
+// lifecycle edge, and a periodic sampler that reports queue depth, tasks
+// in flight, and cumulative decision counts on the virtual clock. Both are
+// nil by default and cost one pointer test per event when unused; the
+// density suite (internal/sched/density) installs them to measure
+// sustained scheduling decisions/sec and to shadow-check resource-safety
+// invariants at scale. The lifecycle hooks in obs.go fire both.
 
 // ProbeKind enumerates the simulator lifecycle events exposed to a Probe.
 type ProbeKind uint8
@@ -89,35 +90,4 @@ type Sample struct {
 	Decisions uint64
 	// Events is the cumulative count of engine events fired.
 	Events uint64
-}
-
-// probe dispatches one lifecycle event to the configured Probe.
-func (s *Simulator) probe(k ProbeKind, task cluster.TaskID, node cluster.NodeID, now sim.Time) {
-	if s.cfg.Probe == nil {
-		return
-	}
-	s.cfg.Probe(ProbeEvent{Kind: k, Task: task, Node: node, At: now})
-}
-
-// startSampler arms the periodic sampler. Each firing reports current
-// state and re-arms itself only while other events remain, so sampling
-// never keeps a finished simulation alive.
-func (s *Simulator) startSampler() {
-	if s.cfg.SampleEvery <= 0 || s.cfg.OnSample == nil {
-		return
-	}
-	var tick func(now sim.Time)
-	tick = func(now sim.Time) {
-		s.cfg.OnSample(Sample{
-			At:        now,
-			InFlight:  s.inFlight,
-			Queued:    len(s.queue),
-			Decisions: s.decisions,
-			Events:    s.engine.Fired(),
-		})
-		if s.engine.Pending() > 0 {
-			s.engine.At(now+s.cfg.SampleEvery, tick)
-		}
-	}
-	s.engine.At(s.cfg.SampleEvery, tick)
 }

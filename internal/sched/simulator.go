@@ -59,7 +59,8 @@ type taskRT struct {
 	evictions int
 	// estOverhead is the Algorithm 1 checkpoint-overhead estimate stashed
 	// at decision time; the provenance journal compares it against the
-	// measured dump and restore windows. Only maintained under a Recorder.
+	// measured dump and restore windows. Only maintained under a Recorder,
+	// by the hooks in obs.go.
 	estOverhead time.Duration
 	// dumpCost is the measured duration of the latest dump, folded into
 	// the restore event's actual round-trip cost.
@@ -291,9 +292,6 @@ func (q *pendingQueue) pop() *taskRT {
 // Simulator executes one run.
 type Simulator struct {
 	cfg Config
-	// reg is Config.Metrics; a nil registry makes every instrumentation
-	// call a no-op pointer test.
-	reg *obs.Registry
 	// rec is Config.Recorder; nil keeps the journal paths no-ops.
 	rec    *obs.Recorder
 	engine *sim.Engine
@@ -321,23 +319,15 @@ type Simulator struct {
 	schedulePending bool
 	// decisions counts scheduling decisions: successful placements plus
 	// preemption verdicts. inFlight counts tasks holding node resources.
-	// Both feed the Probe/Sample surface (probe.go).
+	// Both feed the Sample surface and change only in obs.go's hooks.
 	decisions uint64
 	inFlight  int
 	// runningByPrio counts phaseRunning tasks per priority so preemption
 	// feasibility is an O(12) check instead of a cluster scan.
 	runningByPrio [int(cluster.MaxPriority) + 1]int
-	// hm holds pre-resolved metric handles for per-event hot paths, so a
-	// dump or verdict records through one atomic slot instead of a
-	// name-keyed map lookup under the registry lock. All handles are
-	// no-op zero values when Config.Metrics is nil.
-	hm struct {
-		dumpQueue, dumpWrite, dumpTotal                          obs.Histogram
-		restoreQueue, restoreRead, restoreTotal, restoreTransfer obs.Histogram
-		predumpQueue, predumpTotal                               obs.Histogram
-		restoreLocal, restoreRemote                              obs.Counter
-		decision                                                 [int(core.ActionCheckpointIncremental) + 1]obs.Counter
-	}
+	// hm holds Config.Metrics' pre-resolved handles; all are no-op zero
+	// values when Config.Metrics is nil.
+	hm schedHandles
 	// userUsage and bandUsage track allocated resources per tenant and
 	// per priority band for the fair-share and capacity disciplines.
 	userUsage map[string]cluster.Resources
@@ -467,8 +457,8 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 	cfg = cfg.withDefaults()
 	s := &Simulator{
 		cfg:       cfg,
-		reg:       cfg.Metrics,
 		rec:       cfg.Recorder,
+		hm:        newHandles(cfg.Metrics),
 		engine:    sim.NewEngine(),
 		userUsage: make(map[string]cluster.Resources),
 		totalCap:  cfg.NodeCapacity.Scale(float64(cfg.Nodes)),
@@ -509,24 +499,6 @@ func Run(cfg Config, jobs []cluster.JobSpec) (*Result, error) {
 		n.idx = s.nodeIdx
 		n.touch()
 	}
-	if s.reg != nil {
-		s.hm.dumpQueue = s.reg.Histogram("sched.dump.queue.seconds")
-		s.hm.dumpWrite = s.reg.Histogram("sched.dump.write.seconds")
-		s.hm.dumpTotal = s.reg.Histogram("sched.dump.total.seconds")
-		s.hm.restoreQueue = s.reg.Histogram("sched.restore.queue.seconds")
-		s.hm.restoreRead = s.reg.Histogram("sched.restore.read.seconds")
-		s.hm.restoreTotal = s.reg.Histogram("sched.restore.total.seconds")
-		s.hm.restoreTransfer = s.reg.Histogram("sched.restore.transfer.seconds")
-		s.hm.predumpQueue = s.reg.Histogram("sched.predump.queue.seconds")
-		s.hm.predumpTotal = s.reg.Histogram("sched.predump.total.seconds")
-		s.hm.restoreLocal = s.reg.Counter("sched.policy.restore.local")
-		s.hm.restoreRemote = s.reg.Counter("sched.policy.restore.remote")
-		for a := core.ActionKill; a <= core.ActionCheckpointIncremental; a++ {
-			//lint:ignore metricname the suffix is a closed PreemptAction enum, one counter per verdict
-			s.hm.decision[a] = s.reg.Counter("sched.policy.decision." + a.String())
-		}
-	}
-
 	for i := range jobs {
 		spec := &jobs[i]
 		if err := spec.Validate(); err != nil {
@@ -704,9 +676,7 @@ func (s *Simulator) place(t *taskRT, now sim.Time) bool {
 	s.account(t, +1)
 	target.running[t.spec.ID] = t
 	t.node = target
-	s.decisions++
-	s.inFlight++
-	s.probe(ProbePlace, t.spec.ID, target.id, now)
+	s.recordPlace(t, target, now)
 
 	if t.hasCheckpoint {
 		s.startRestore(t, target, now)
@@ -793,8 +763,7 @@ func (s *Simulator) startRestore(t *taskRT, target *node, now sim.Time) {
 	} else {
 		start, done = target.device.ReserveRead(now+transfer, t.spec.MemFootprint)
 	}
-	s.recordRestore(remote, transfer, now, start, done)
-	s.journalRestore(t, target, remote, now, done)
+	s.recordRestore(t, target, remote, transfer, now, start, done)
 	overhead := time.Duration(done - now)
 	s.chargeOverhead(t, overhead)
 	s.engine.At(done, func(at sim.Time) {
@@ -814,10 +783,8 @@ func (s *Simulator) finishTask(t *taskRT, now sim.Time) {
 	s.unmarkRunning(t)
 	t.phase = phaseDone
 	t.completion = nil
-	s.journalTaskDone(t, now)
+	s.recordTaskDone(t, now)
 	s.removeImages(t)
-	s.inFlight--
-	s.probe(ProbeFinish, t.spec.ID, t.node.id, now)
 	t.node.release(now, t.spec.Demand)
 	s.account(t, -1)
 	delete(t.node.running, t.spec.ID)
@@ -846,36 +813,6 @@ func (s *Simulator) chargeOverhead(t *taskRT, d time.Duration) {
 	s.res.OverheadCPUHours += cores * d.Hours()
 }
 
-// recordDump splits one checkpoint write into queue/write/total latencies:
-// now is the enqueue instant, start when the device begins the write, done
-// its completion. All three are virtual time.
-func (s *Simulator) recordDump(now, start, done sim.Time) {
-	if s.reg == nil {
-		return
-	}
-	s.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
-	s.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
-	s.hm.dumpTotal.ObserveDuration(time.Duration(done - now))
-}
-
-// recordRestore mirrors recordDump for the read side and counts the
-// Algorithm 2 placement outcome. transfer is the network shipping time
-// preceding the read when the image is remote.
-func (s *Simulator) recordRestore(remote bool, transfer time.Duration, now, start, done sim.Time) {
-	if s.reg == nil {
-		return
-	}
-	if remote {
-		s.hm.restoreRemote.Inc()
-		s.hm.restoreTransfer.ObserveDuration(transfer)
-	} else {
-		s.hm.restoreLocal.Inc()
-	}
-	s.hm.restoreQueue.ObserveDuration(time.Duration(start-now) - transfer)
-	s.hm.restoreRead.ObserveDuration(time.Duration(done - start))
-	s.hm.restoreTotal.ObserveDuration(time.Duration(done - now))
-}
-
 // preemptFor vacates lower-priority work for t. It reports whether any
 // preemption was initiated.
 func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
@@ -883,9 +820,7 @@ func (s *Simulator) preemptFor(t *taskRT, now sim.Time) bool {
 	if target == nil {
 		return false
 	}
-	if s.rec != nil {
-		s.recordSelection(t, target, s.scoreCandidates(target, cands, rank, take, now), now)
-	}
+	s.recordSelection(t, target, cands, rank, take, now)
 	s.reserve(t, target)
 	for _, e := range rank[:take] {
 		s.preemptTask(cands[e.Index], now)
@@ -1019,11 +954,9 @@ func (s *Simulator) candidateFor(v *taskRT, now sim.Time) core.Candidate {
 func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	n := v.node
 	v.evictions++
-	s.decisions++
 	cand := s.candidateFor(v, now)
-	action := core.DecidePreemption(s.cfg.Policy, cand, n.device, now)
-	s.hm.decision[action].Inc()
-	s.recordDecision(v, n, action, cand, now)
+	action, est := core.DecidePreemption(s.cfg.Policy, cand, n.device, now)
+	s.recordDecision(v, n, action, est, now)
 
 	if !action.IsCheckpoint() {
 		// Kill: unsaved progress is lost; resources free immediately.
@@ -1033,8 +966,6 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		cores := float64(v.spec.Demand.CPUMillis) / 1000
 		s.res.Kills++
 		s.res.WastedCPUHours += cores * v.unsavedProgress(now).Hours()
-		s.inFlight--
-		s.probe(ProbeKill, v.spec.ID, n.id, now)
 		n.release(now, v.spec.Demand)
 		s.account(v, -1)
 		delete(n.running, v.spec.ID)
@@ -1044,7 +975,6 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 		return
 	}
 
-	s.probe(ProbeCheckpoint, v.spec.ID, n.id, now)
 	s.res.Checkpoints++
 	if action == core.ActionCheckpointIncremental {
 		s.res.IncrementalCheckpoints++
@@ -1068,12 +998,11 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 	}
 	dumpBytes := cand.DumpBytes()
 	start, done := n.device.ReserveWrite(now, dumpBytes)
-	s.recordDump(now, start, done)
 	var dumpFlags uint32
 	if action == core.ActionCheckpointIncremental {
 		dumpFlags |= obs.FlagIncremental
 	}
-	s.journalDump(v, dumpBytes, dumpFlags, now, done)
+	s.recordDump(v, dumpBytes, dumpFlags, now, start, done)
 	s.chargeOverhead(v, time.Duration(done-now))
 	s.trackImage(v, action, dumpBytes)
 	s.engine.At(done, func(at sim.Time) {
@@ -1086,8 +1015,7 @@ func (s *Simulator) preemptTask(v *taskRT, now sim.Time) {
 func (s *Simulator) vacate(v *taskRT, n *node, at sim.Time) {
 	v.hasCheckpoint = true
 	v.ckptNode = n
-	s.inFlight--
-	s.probe(ProbeVacate, v.spec.ID, n.id, at)
+	s.recordVacate(v, n, at)
 	n.release(at, v.spec.Demand)
 	s.account(v, -1)
 	delete(n.running, v.spec.ID)
@@ -1106,9 +1034,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 	v.preCopying = true
 	preBytes := cand.DumpBytes()
 	preStart, preDone := n.device.ReserveWrite(now, preBytes)
-	s.hm.predumpQueue.ObserveDuration(time.Duration(preStart - now))
-	s.hm.predumpTotal.ObserveDuration(time.Duration(preDone - now))
-	s.journalPreDump(v, preBytes, now, preDone)
+	s.recordPreDump(v, preBytes, now, preStart, preDone)
 	preAction := core.ActionCheckpointFull
 	if cand.HasCheckpoint {
 		preAction = core.ActionCheckpointIncremental
@@ -1141,8 +1067,7 @@ func (s *Simulator) startPreCopy(v *taskRT, cand core.Candidate, now sim.Time) {
 		}
 		delta := int64(frac * float64(v.spec.MemFootprint))
 		start, done := n.device.ReserveWrite(at, delta)
-		s.recordDump(at, start, done)
-		s.journalDump(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, done)
+		s.recordDump(v, delta, obs.FlagIncremental|obs.FlagPreCopy, at, start, done)
 		s.chargeOverhead(v, time.Duration(done-at))
 		s.trackImage(v, core.ActionCheckpointIncremental, delta)
 		s.engine.At(done, func(end sim.Time) {

@@ -61,7 +61,8 @@ type taskRun struct {
 	// estOverhead holds the Algorithm 1 overhead estimate captured at the
 	// checkpoint decision; it is compared against the actual dump+restore
 	// cost when the task resumes, then cleared. dumpCost accumulates the
-	// device time of the dump window(s) of the current checkpoint.
+	// device time of the dump window(s) of the current checkpoint. Only
+	// the hooks in obs.go write either.
 	estOverhead time.Duration
 	dumpCost    time.Duration
 
@@ -464,14 +465,8 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 		panic(fmt.Sprintf("yarn: advance %v: %v", t.spec.ID, err))
 	}
 
-	action := core.DecidePreemption(am.c.cfg.Policy, t.candidate(now), n.device, now)
-	if action.IsCheckpoint() {
-		// Capture the Algorithm 1 estimate the decision was based on, so
-		// its error against the actual dump+restore cost is measurable.
-		t.estOverhead = core.CheckpointOverhead(t.candidate(now), n.device, now)
-		t.dumpCost = 0
-	}
-	am.c.recordDecision(t, n, action, now)
+	action, est := core.DecidePreemption(am.c.cfg.Policy, t.candidate(now), n.device, now)
+	am.c.recordDecision(t, n, action, est, now)
 
 	if action.IsCheckpoint() && am.c.cfg.PreCopy {
 		am.startPreCopyCheckpoint(t, n, now)
@@ -541,7 +536,6 @@ func (am *AppMaster) onPreempt(t *taskRun, now sim.Time) {
 	am.c.sampleDFSUsage()
 
 	start, done := n.device.ReserveWrite(now, info.LogicalBytes)
-	t.dumpCost = time.Duration(done - now)
 	am.c.recordDump(t, n, name, info.LogicalBytes, incremental, now, start, done)
 	am.c.chargeOverhead(t, time.Duration(done-now))
 	am.c.engine.At(done, func(at sim.Time) {
@@ -626,7 +620,6 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 	am.c.sampleDFSUsage()
 
 	preStart, preDone := n.device.ReserveWrite(now, info.LogicalBytes)
-	t.dumpCost = time.Duration(preDone - now)
 	am.c.recordPreDump(t, n, preName, info.LogicalBytes, now, preStart, preDone)
 	am.c.engine.At(preDone, func(at sim.Time) {
 		if t.state != stateRunning || !t.preCopying {
@@ -672,7 +665,6 @@ func (am *AppMaster) startPreCopyCheckpoint(t *taskRun, n *NodeManager, now sim.
 		am.c.sampleDFSUsage()
 
 		start, done := n.device.ReserveWrite(at, dinfo.LogicalBytes)
-		t.dumpCost += time.Duration(done - at)
 		am.c.recordDump(t, n, deltaName, dinfo.LogicalBytes, true, at, start, done)
 		am.c.chargeOverhead(t, time.Duration(done-at))
 		am.c.engine.At(done, func(end sim.Time) {

@@ -52,10 +52,17 @@ func (c *Cluster) resolveHandles() {
 
 // recordDecision books one Preemption Manager verdict: a policy-decision
 // counter keyed by the chosen action, an instant span on the victim's
-// track carrying the unsaved progress and the Algorithm 1 estimate, the
-// live SLO hit-rate tally, and a provenance record in the flight
-// recorder keyed to that span.
-func (c *Cluster) recordDecision(t *taskRun, n *NodeManager, action core.PreemptAction, now sim.Time) {
+// track carrying the unsaved progress and the stashed Algorithm 1
+// estimate, the live SLO hit-rate tally, and a provenance record in the
+// flight recorder keyed to that span. est is the overhead the verdict
+// weighed; the journal records it for kills too, so it can answer "why
+// kill instead of checkpoint", while only a checkpoint stashes it for the
+// est-vs-actual comparison at restore.
+func (c *Cluster) recordDecision(t *taskRun, n *NodeManager, action core.PreemptAction, est time.Duration, now sim.Time) {
+	if action.IsCheckpoint() {
+		t.estOverhead = est
+		t.dumpCost = 0
+	}
 	c.hm.decision[action].Inc()
 	c.slo.CountDecision(action.IsCheckpoint())
 	var span obs.SpanID
@@ -66,13 +73,6 @@ func (c *Cluster) recordDecision(t *taskRun, n *NodeManager, action core.Preempt
 			obs.DurationMS("est_overhead_ms", t.estOverhead))
 	}
 	if c.rec != nil {
-		est := t.estOverhead
-		if est == 0 {
-			// Kill decisions record no estimate on the task; recompute the
-			// Algorithm 1 overhead the comparison was made against so the
-			// journal can answer "why kill instead of checkpoint".
-			est = core.CheckpointOverhead(t.candidate(now), n.device, now)
-		}
 		c.rec.Append(obs.Record{
 			Kind: obs.RecDecision, At: time.Duration(now), Source: "yarn",
 			Name: action.String(), Task: t.spec.ID.String(), Node: nodeName(n.id),
@@ -83,9 +83,9 @@ func (c *Cluster) recordDecision(t *taskRun, n *NodeManager, action core.Preempt
 }
 
 // recordSelection journals one victim-selection pass: the full scored
-// candidate set the RM ranked while finding room for claimant, with the
-// chosen victim marked. Only called when the flight recorder is on.
-func (c *Cluster) recordSelection(claimant *taskRun, n *NodeManager, cands []obs.CandidateScore, now sim.Time) {
+// candidate set the RM ranked while finding room for claimant, in rank
+// order, with the chosen victim (rank entry 0, on node n) marked.
+func (c *Cluster) recordSelection(claimant *taskRun, n *NodeManager, cands []*taskRun, rank []core.Ranked, now sim.Time) {
 	if c.rec == nil {
 		return
 	}
@@ -93,7 +93,9 @@ func (c *Cluster) recordSelection(claimant *taskRun, n *NodeManager, cands []obs
 		Kind: obs.RecSelection, At: time.Duration(now), Source: "yarn",
 		Name: "victim-selection", Claimant: claimant.spec.ID.String(),
 		Node: nodeName(n.id), Priority: int(claimant.spec.Priority),
-		Candidates: cands,
+		Candidates: core.CandidateScores(rank, 1, false, func(i int) (string, time.Duration) {
+			return cands[i].spec.ID.String(), cands[i].unsavedProgress(now)
+		}),
 	})
 }
 
@@ -112,10 +114,12 @@ func (c *Cluster) recordKillFallback(t *taskRun, n *NodeManager, lost time.Durat
 }
 
 // recordDump books one checkpoint dump window [now, done] with the device
-// queue portion [now, start]: queue/write/total histograms, the per-node
+// queue portion [now, start]: the window's device time added to the
+// checkpoint's dump cost, queue/write/total histograms, the per-node
 // queue-backlog high-water mark, and a dump span with dump-queue and
 // dump-write children.
 func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int64, incremental bool, now, start, done sim.Time) {
+	t.dumpCost += time.Duration(done - now)
 	c.hm.dumpQueue.ObserveDuration(time.Duration(start - now))
 	c.hm.dumpWrite.ObserveDuration(time.Duration(done - start))
 	c.hm.dumpTotal.ObserveDuration(time.Duration(done - now))
@@ -146,8 +150,9 @@ func (c *Cluster) recordDump(t *taskRun, n *NodeManager, image string, bytes int
 }
 
 // recordPreDump books the pre-copy write window, during which the victim
-// keeps executing.
+// keeps executing; it opens the checkpoint's dump cost.
 func (c *Cluster) recordPreDump(t *taskRun, n *NodeManager, image string, bytes int64, now, start, done sim.Time) {
+	t.dumpCost = time.Duration(done - now)
 	c.hm.predumpTotal.ObserveDuration(time.Duration(done - now))
 	var span obs.SpanID
 	if c.tracer != nil {

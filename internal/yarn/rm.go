@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"container/heap"
 	"slices"
-	"time"
 
 	"preemptsched/internal/cluster"
 	"preemptsched/internal/core"
@@ -208,12 +207,7 @@ func (rm *ResourceManager) preemptFor(req *request, now sim.Time) bool {
 	rank := core.RankVictims(rm.rankScratch, len(cands), func(i int) cluster.Priority { return cands[i].spec.Priority }, score, now)
 	rm.rankScratch = rank[:0]
 	victim := cands[rank[0].Index]
-	if rm.c.rec != nil {
-		scores := core.CandidateScores(rank, 1, false, func(i int) (string, time.Duration) {
-			return cands[i].spec.ID.String(), cands[i].unsavedProgress(now)
-		})
-		rm.c.recordSelection(req.task, victim.node, scores, now)
-	}
+	rm.c.recordSelection(req.task, victim.node, cands, rank, now)
 	rm.reserve(req, victim.node)
 	rm.c.res.Preemptions++
 	victim.am.onPreempt(victim, now)
